@@ -11,6 +11,9 @@ Components mirror the architecture of Figure 2:
 * :mod:`repro.core.configurator` — the query engine: train a black-box
   model, join application characteristics with all candidate
   configurations, return the top-k recommendations.
+* :mod:`repro.core.candidates` — that join's invariant half: the
+  candidate grid encoded once, shared with the serving layer's batch
+  engine.
 * :mod:`repro.core.walking` — the PB-guided greedy space walk and the
   random-walk control (Section 4.3).
 """

@@ -6,6 +6,13 @@ system configuration, predicts each candidate's improvement over the
 baseline, and returns the top-k recommendations — with co-champion
 detection, since configurations differing only in dimensions the model
 was not trained on predict identically.
+
+The invariant half of that join is hoisted: each :class:`Acic` encodes
+the default candidate grid once, on its first query, into a
+:class:`~repro.core.candidates.CandidateMatrix` (the same join the
+serving layer's batch engine uses), and predicts through the fitted
+model's packed :mod:`repro.ml.flat` twin, flattened once per fitted
+model.  A query then encodes only its own nine application values.
 """
 
 from __future__ import annotations
@@ -16,9 +23,11 @@ import numpy as np
 
 from collections.abc import Sequence
 
+from repro.core.candidates import CandidateMatrix
 from repro.core.database import TrainingDatabase
 from repro.core.objectives import Goal
 from repro.ml.encoding import FeatureEncoder, point_values
+from repro.ml.flat import flatten_learner
 from repro.ml.registry import Learner, make_learner
 from repro.reliability.faults import get_injector
 from repro.space.characteristics import AppCharacteristics
@@ -121,6 +130,11 @@ class Acic:
         self.learner_name = learner_name
         self.encoder = encoder if encoder is not None else FeatureEncoder(feature_names)
         self._model: Learner | None = None
+        # Query-path state, built on first use: the encoded default
+        # candidate grid, and (fitted model, its packed twin) — keyed by
+        # the model so a refit flattens afresh.
+        self._matrix: CandidateMatrix | None = None
+        self._packed: tuple[Learner, object] | None = None
 
     @classmethod
     def from_fitted(
@@ -174,6 +188,23 @@ class Acic:
             raise RuntimeError("call train() before querying")
         return self._model
 
+    def candidate_matrix(self) -> CandidateMatrix:
+        """The default candidate set, encoded once for this encoder."""
+        if self._matrix is None:
+            self._matrix = CandidateMatrix(self.encoder, candidate_configs())
+        return self._matrix
+
+    def predictor(self):
+        """What queries predict through: the fitted model's packed
+        :mod:`repro.ml.flat` twin (the model itself when it has none),
+        flattened once per fitted model."""
+        model = self.model
+        packed = self._packed
+        if packed is None or packed[0] is not model:
+            flat = flatten_learner(model)
+            packed = self._packed = (model, flat if flat is not None else model)
+        return packed[1]
+
     # ------------------------------------------------------------------
     def predict_improvement(self, chars: AppCharacteristics, config: SystemConfig) -> float:
         """Predicted improvement ratio of one configuration over baseline."""
@@ -181,24 +212,45 @@ class Acic:
         return float(np.exp(self.model.predict(x[None, :])[0]))
 
     def score_candidates(
-        self, chars: AppCharacteristics, candidates: Sequence[SystemConfig]
+        self,
+        chars: AppCharacteristics,
+        candidates: Sequence[SystemConfig] | None = None,
     ) -> np.ndarray:
         """Predicted improvement ratios for all candidates, in order.
 
-        Encodes the full join into one matrix and calls the learner once,
-        so tree routing (and any other learner) runs vectorized.
+        Builds the full join into one matrix and calls the learner once,
+        so tree routing (and any other learner) runs vectorized.  With
+        ``candidates=None`` it scores the default candidate set through
+        the hoisted join: the candidates that can host ``chars``, in
+        :func:`candidate_configs` order.  Explicit candidates are
+        encoded one by one.
         """
-        if len(candidates) == 0:
-            return np.empty(0, dtype=float)
-        telemetry = get_telemetry()
-        get_injector().perturb("ml.predict")
-        with telemetry.span("ml.predict", rows=len(candidates)):
+        if candidates is None:
+            X, _ = self.candidate_matrix().join(chars)
+        else:
             X = self.encoder.encode_many(
                 [point_values(config, chars) for config in candidates]
             )
-            scores = np.exp(self.model.predict(X))
-        telemetry.counter("ml.predictions").inc(len(candidates))
+        if X.shape[0] == 0:
+            return np.empty(0, dtype=float)
+        telemetry = get_telemetry()
+        get_injector().perturb("ml.predict")
+        with telemetry.span("ml.predict", rows=X.shape[0]):
+            scores = np.exp(self.predictor().predict(X))
+        telemetry.counter("ml.predictions").inc(X.shape[0])
         return scores
+
+    def _scored(
+        self,
+        chars: AppCharacteristics,
+        candidates: Sequence[SystemConfig] | None,
+    ) -> list[tuple[float, SystemConfig]]:
+        """(score, candidate) pairs of one query's join."""
+        scores = self.score_candidates(chars, candidates)
+        if candidates is None:
+            matrix = self.candidate_matrix()
+            candidates = [matrix.candidates[row] for row in matrix.valid_rows(chars)]
+        return list(zip(scores.tolist(), candidates))
 
     def recommend(
         self,
@@ -208,16 +260,16 @@ class Acic:
     ) -> list[Recommendation]:
         """Top-k configurations for an application, best first.
 
-        Evaluates the full candidate configuration set (affordable: the
-        prediction cost is negligible next to training collection); pass
-        ``candidates`` explicitly to rank an extended or restricted set.
+        Ranks the full candidate configuration set (affordable: the
+        prediction cost is negligible next to training collection)
+        through the hoisted join: the grid is encoded once per
+        configurator and each query fills in only its application
+        columns.  Pass ``candidates`` explicitly to rank an extended or
+        restricted set instead.
         """
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
-        if candidates is None:
-            candidates = candidate_configs(chars)
-        scores = self.score_candidates(chars, candidates)
-        return rank_scored(list(zip(scores.tolist(), candidates)), top_k)
+        return rank_scored(self._scored(chars, candidates), top_k)
 
     def co_champions(
         self,
@@ -225,7 +277,4 @@ class Acic:
         candidates: list[SystemConfig] | None = None,
     ) -> list[SystemConfig]:
         """All candidates tied with the best prediction."""
-        if candidates is None:
-            candidates = candidate_configs(chars)
-        scores = self.score_candidates(chars, candidates)
-        return tied_champions(list(zip(scores.tolist(), candidates)))
+        return tied_champions(self._scored(chars, candidates))

@@ -272,8 +272,7 @@ class OnlineCoordinator:
             return "breaker_open"
 
         try:
-            with self._span_guard():
-                models, databases = self._build_candidate(live, entries)
+            models, databases = self._build_candidate(live, entries)
             self._breaker.record_success()
         except Exception as exc:
             self._breaker.record_failure()
@@ -396,6 +395,10 @@ class OnlineCoordinator:
         idle-priority child that ships the fitted models back as
         artifact documents.  Both paths produce byte-identical
         generations; only their latency interference differs.
+
+        The snapshot of the service's databases and model keys is taken
+        under the serve lock once, before the span guard: with tracing
+        live the guard *is* the serve lock, which is not reentrant.
         """
         with self.serve_lock:
             base = dict(self.service._databases)
@@ -415,22 +418,23 @@ class OnlineCoordinator:
             database.add(entry.record)
 
         ordered = sorted(keys, key=lambda k: (k[0], k[1].value, k[2]))
-        if self.config.isolate_retrain:
-            return self._train_isolated(ordered, databases), databases
+        with self._span_guard():
+            if self.config.isolate_retrain:
+                return self._train_isolated(ordered, databases), databases
 
-        models: dict = {}
-        for key in ordered:
-            platform, goal, learner = key
-            if platform not in databases:
-                continue
-            acic = Acic(
-                databases[platform],
-                goal=goal,
-                learner_name=learner,
-                feature_names=self.service.feature_names,
-            )
-            acic.train(retry=self._retry)
-            models[key] = acic
+            models: dict = {}
+            for key in ordered:
+                platform, goal, learner = key
+                if platform not in databases:
+                    continue
+                acic = Acic(
+                    databases[platform],
+                    goal=goal,
+                    learner_name=learner,
+                    feature_names=self.service.feature_names,
+                )
+                acic.train(retry=self._retry)
+                models[key] = acic
         return models, databases
 
     def _train_isolated(self, ordered, databases):

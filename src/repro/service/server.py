@@ -149,10 +149,12 @@ class AcicService:
             monotonic clock by default; chaos tests pass a ManualClock).
         sleep: ``sleep(seconds)`` used by retry backoff
             (:func:`time.sleep` by default; tests pass a VirtualSleeper).
-        use_flat: serve through the packed :mod:`repro.ml.flat` twins
-            of the hosted models (the raw-speed default); False keeps
-            the legacy object-tree walk.  Answers are identical either
-            way — the differential suite's guarantee.
+        use_flat: serve batches through the packed :mod:`repro.ml.flat`
+            twins of the hosted models (the raw-speed default); False
+            keeps the legacy object-tree walk in the batch engines
+            (single queries always predict through the packed twin).
+            Answers are identical either way — the differential suite's
+            guarantee.
     """
 
     def __init__(

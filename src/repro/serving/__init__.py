@@ -12,8 +12,10 @@ stack:
   one vectorized prediction pass (through the packed
   :mod:`repro.ml.flat` core by default);
 * :mod:`repro.serving.matrix` — :class:`CandidateMatrixCache` shares
-  those encoded candidate matrices across engine rebuilds, with scoped
-  invalidation on online promotion/rollback;
+  those encoded candidate matrices
+  (:class:`~repro.core.candidates.CandidateMatrix`, the join both the
+  engine and :meth:`~repro.core.configurator.Acic.recommend` use) across
+  engine rebuilds, with scoped invalidation on online promotion/rollback;
 * :mod:`repro.serving.cache` — a bounded LRU with hit/miss/eviction
   counters backing the service's response cache.
 
@@ -21,6 +23,7 @@ stack:
 ``load`` / ``query_batch``).
 """
 
+from repro.core.candidates import CandidateMatrix
 from repro.serving.artifacts import (
     ARTIFACT_FORMAT,
     ARTIFACT_VERSION,
@@ -35,7 +38,7 @@ from repro.serving.artifacts import (
 )
 from repro.serving.cache import CacheStats, LruCache
 from repro.serving.engine import BatchQueryEngine
-from repro.serving.matrix import CandidateMatrix, CandidateMatrixCache
+from repro.serving.matrix import CandidateMatrixCache
 
 __all__ = [
     "ARTIFACT_FORMAT",

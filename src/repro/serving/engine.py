@@ -2,18 +2,20 @@
 
 Every ACIC query is the same join: the application's characteristics
 against *all* candidate system configurations.  :meth:`Acic.recommend`
-re-enumerates and re-encodes that grid per query — fine for one user,
-wasteful for a service.  :class:`BatchQueryEngine` hoists the invariant
-work out of the per-query path:
+already hoists the invariant half of that join (one encoded
+:class:`~repro.core.candidates.CandidateMatrix` per configurator, the
+model's packed twin flattened once); :class:`BatchQueryEngine` runs the
+same join for many queries at once:
 
-* the candidate set is enumerated once per model, its system-side
-  feature columns encoded once into a base matrix (shareable across
-  engines via :class:`~repro.serving.matrix.CandidateMatrixCache`),
+* the candidate set is encoded once per model into a base matrix —
+  the configurator's own matrix by default, or one shared across
+  engines via :class:`~repro.serving.matrix.CandidateMatrixCache`,
 * per-workload valid-row index sets are memoized, so repeat workload
   shapes skip the Python validity sweep entirely,
 * a query only encodes its nine application-side values (one row, not
-  one per candidate), broadcasts them across the base matrix, and runs
-  a single vectorized ``predict`` over all candidates,
+  one per candidate) and broadcasts them across the base matrix; the
+  rows of a whole batch are stacked and scored by a single vectorized
+  ``predict``,
 * with ``use_flat`` (the default) that predict runs through the packed
   :mod:`repro.ml.flat` twin of the model — array passes instead of
   Python node recursion, bit-identical by the differential suite.
@@ -35,17 +37,17 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.candidates import CandidateMatrix
 from repro.core.configurator import (
     Acic,
     Recommendation,
     rank_scored,
     tied_champions,
 )
-from repro.ml.encoding import characteristics_values
-from repro.ml.flat import flatten_learner
+from repro.ml.flat import FlatForest, FlatTree
 from repro.reliability.faults import get_injector
 from repro.serving.artifacts import PackedLearner
-from repro.serving.matrix import CandidateMatrix, CandidateMatrixCache
+from repro.serving.matrix import CandidateMatrixCache
 from repro.space.characteristics import AppCharacteristics
 from repro.space.configuration import SystemConfig
 from repro.space.grid import candidate_configs
@@ -84,29 +86,28 @@ class BatchQueryEngine:
     ) -> None:
         acic.model  # fail fast when untrained
         self.acic = acic
-        resolved = tuple(
-            candidates if candidates is not None else candidate_configs()
-        )
         if matrix_cache is not None:
             if cache_scope is None:
                 raise ValueError("matrix_cache requires a (platform, learner) scope")
             platform, learner = cache_scope
+            resolved = tuple(
+                candidates if candidates is not None else candidate_configs()
+            )
             self._matrix = matrix_cache.lease(
                 platform, learner, acic.encoder, resolved
             )
+        elif candidates is None:
+            self._matrix = acic.candidate_matrix()
         else:
-            self._matrix = CandidateMatrix(acic.encoder, resolved)
+            self._matrix = CandidateMatrix(acic.encoder, candidates)
         self.candidates: tuple[SystemConfig, ...] = self._matrix.candidates
-        self._system_columns = self._matrix.system_columns
-        self._application_columns = self._matrix.application_columns
         # Base matrix: system-side columns encoded once per candidate;
         # application-side columns are filled per query (on copies — the
         # shared base itself is read-only).
         self._base = self._matrix.base
-        self._flat = flatten_learner(acic.model) if use_flat else None
-        if self._flat is not None:
-            self._predictor = self._flat
-        elif isinstance(acic.model, PackedLearner) and not use_flat:
+        if use_flat:
+            self._predictor = acic.predictor()
+        elif isinstance(acic.model, PackedLearner):
             # An artifact-decoded model predicts through its packed twin
             # by default; a legacy engine must genuinely walk the object
             # tree, so force materialization.
@@ -117,7 +118,8 @@ class BatchQueryEngine:
     @property
     def engine_kind(self) -> str:
         """"flat" when serving packed arrays, "tree" on the legacy walk."""
-        return "flat" if self._flat is not None else "tree"
+        flat = isinstance(self._predictor, (FlatTree, FlatForest))
+        return "flat" if flat else "tree"
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         """One vectorized model call — flat twin when available."""
@@ -128,12 +130,7 @@ class BatchQueryEngine:
         self, chars: AppCharacteristics
     ) -> tuple[np.ndarray, list[SystemConfig]]:
         """(feature matrix, candidate list) for one query's valid join."""
-        rows = self._matrix.valid_rows(chars)
-        X = self._base[rows, :]
-        if self._application_columns.size:
-            encoded = self.acic.encoder.encode_values(characteristics_values(chars))
-            X[:, self._application_columns] = encoded[self._application_columns]
-        return X, [self.candidates[row] for row in rows]
+        return self._matrix.join(chars)
 
     def score(
         self, chars: AppCharacteristics

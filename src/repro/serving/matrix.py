@@ -1,9 +1,10 @@
 """Shared cache of encoded candidate matrices, scoped for invalidation.
 
 Every :class:`~repro.serving.engine.BatchQueryEngine` needs the same
-invariant per model: the candidate set's system-side feature columns
-encoded into a base matrix, plus the per-workload valid-row index sets.
-Engines are rebuilt whenever a model changes — lazily after a community
+invariant per model: a :class:`~repro.core.candidates.CandidateMatrix`
+(the candidate set's system-side feature columns encoded into a base
+matrix, plus the per-workload valid-row index sets).  Engines are
+rebuilt whenever a model changes — lazily after a community
 contribution, wholesale on an online promotion or rollback — and before
 this cache each rebuild re-encoded the whole grid from scratch.
 
@@ -28,70 +29,9 @@ from __future__ import annotations
 import json
 import threading
 
-import numpy as np
+from repro.core.candidates import CandidateMatrix
 
-from repro.ml.encoding import config_values
-from repro.space.parameters import ParameterKind
-from repro.space.validity import is_valid_point
-
-__all__ = ["CandidateMatrix", "CandidateMatrixCache"]
-
-
-class CandidateMatrix:
-    """One cached encoding of a candidate set for one column layout.
-
-    Attributes:
-        candidates: the candidate configurations, in row order.
-        base: (n_candidates, width) float64 matrix with the system-side
-            columns encoded (read-only; application-side columns are
-            zero and filled per query on copies).
-        system_columns / application_columns: column index arrays by
-            :class:`~repro.space.parameters.ParameterKind`.
-    """
-
-    def __init__(self, encoder, candidates) -> None:
-        self.candidates = tuple(candidates)
-        kinds = [p.kind for p in encoder.parameters]
-        self.system_columns = np.array(
-            [i for i, kind in enumerate(kinds) if kind is ParameterKind.SYSTEM],
-            dtype=int,
-        )
-        self.application_columns = np.array(
-            [i for i, kind in enumerate(kinds) if kind is ParameterKind.APPLICATION],
-            dtype=int,
-        )
-        self.base = np.zeros((len(self.candidates), encoder.width), dtype=float)
-        for row, config in enumerate(self.candidates):
-            encoded = encoder.encode_values(config_values(config))
-            self.base[row, self.system_columns] = encoded[self.system_columns]
-        self.base.setflags(write=False)
-        self._valid_rows: dict[tuple, np.ndarray] = {}
-        self._valid_lock = threading.Lock()
-
-    def valid_rows(self, chars) -> np.ndarray:
-        """Row indices of candidates that can host this workload.
-
-        :func:`is_valid_point` depends on the workload only through the
-        process count (part-time placement needs servers <= compute
-        nodes) and the collective/interface pairing, so the index set
-        is memoized under that exact key — one Python validity sweep
-        per distinct workload shape, then O(1) lookups.
-        """
-        key = (chars.num_processes, chars.collective, chars.interface.base)
-        rows = self._valid_rows.get(key)
-        if rows is None:
-            rows = np.array(
-                [
-                    row
-                    for row, config in enumerate(self.candidates)
-                    if is_valid_point(config, chars)
-                ],
-                dtype=np.intp,
-            )
-            rows.setflags(write=False)
-            with self._valid_lock:
-                self._valid_rows.setdefault(key, rows)
-        return rows
+__all__ = ["CandidateMatrixCache"]
 
 
 def _encoder_signature(encoder) -> str:
