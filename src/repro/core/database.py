@@ -12,6 +12,7 @@ and re-loaded.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,10 +55,15 @@ class TrainingRecord:
         unknown = set(self.values) - _SERIALIZABLE
         if unknown:
             raise ValueError(f"unknown dimensions in record: {sorted(unknown)}")
-        if self.seconds <= 0 or self.cost <= 0:
-            raise ValueError("seconds and cost must be positive")
-        if self.perf_improvement <= 0 or self.cost_improvement <= 0:
-            raise ValueError("improvement ratios must be positive")
+        # JSON frames and files may carry NaN/Infinity literals; NaN fails
+        # every comparison, so the chained bounds refuse it too.
+        if not (0 < self.seconds < math.inf and 0 < self.cost < math.inf):
+            raise ValueError("seconds and cost must be positive and finite")
+        if not (
+            0 < self.perf_improvement < math.inf
+            and 0 < self.cost_improvement < math.inf
+        ):
+            raise ValueError("improvement ratios must be positive and finite")
 
     def target(self, goal: Goal) -> float:
         """The improvement ratio for the given goal."""

@@ -1,5 +1,7 @@
 """Tests for the crowdsourced training database."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,11 +53,21 @@ class TestRecord:
             TrainingRecord(values=values, seconds=1.0, cost=1.0,
                            perf_improvement=1.0, cost_improvement=1.0)
 
-    def test_nonpositive_measurements_rejected(self, simple_chars):
-        values = point_values(BASELINE_CONFIG, simple_chars)
-        with pytest.raises(ValueError):
-            TrainingRecord(values=values, seconds=0.0, cost=1.0,
-                           perf_improvement=1.0, cost_improvement=1.0)
+    @pytest.mark.parametrize(
+        "bad",
+        [0.0, float("nan"), float("inf"), float("-inf")],
+        ids=["zero", "nan", "inf", "-inf"],
+    )
+    @pytest.mark.parametrize(
+        "field", ["seconds", "cost", "perf_improvement", "cost_improvement"]
+    )
+    def test_nonpositive_measurements_rejected(self, simple_chars, field, bad):
+        payload = make_record(BASELINE_CONFIG, simple_chars).to_payload()
+        payload[field] = bad
+        # json writes and reads these as the literals NaN, Infinity, -Infinity
+        payload = json.loads(json.dumps(payload))
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrainingRecord.from_payload(payload)
 
     def test_target_selector(self, simple_chars):
         record = make_record(BASELINE_CONFIG, simple_chars)

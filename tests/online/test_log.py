@@ -118,6 +118,19 @@ class TestReplay:
         # seq continues from the *valid* high-water mark
         assert [e.seq for e in log2.pending()] == [1, 2]
 
+    def test_non_finite_record_line_is_dropped(self, tmp_path, records):
+        path = tmp_path / "log.jsonl"
+        log = ContributionLog(path, flush_every=1)
+        log.append("ec2-us-east", records[:2])
+        payload = json.loads(path.read_text().splitlines()[-1])
+        payload["seq"] = 3
+        payload["record"]["perf_improvement"] = float("nan")
+        with path.open("a") as sink:
+            sink.write(json.dumps(payload) + "\n")  # carries a NaN literal
+        reopened = ContributionLog(path)
+        assert reopened.dropped_lines == 1
+        assert [e.seq for e in reopened.pending()] == [1, 2]
+
     def test_corrupt_cursor_resets_to_zero(self, tmp_path, records):
         path = tmp_path / "log.jsonl"
         log = ContributionLog(path, flush_every=1)

@@ -7,6 +7,8 @@ codes and health surfacing, not new semantics.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.database import TrainingDatabase
@@ -50,6 +52,19 @@ class TestContributeFrame:
         assert reply["pending"] == 16
         assert coordinator.log.pending_count() == 16
         assert service.generation == 0  # nothing merged on the hot path
+
+    def test_non_finite_measurement_is_a_bad_request(
+        self, running_online_server, client, context, contribution_records
+    ):
+        coordinator, _service, _host, _port = running_online_server
+        payload = contribution_db(
+            context.platform.name, contribution_records[:2]
+        ).to_payload()
+        payload["records"][1]["perf_improvement"] = float("nan")  # JSON NaN
+        with pytest.raises(RemoteError) as excinfo:
+            client.contribute(SimpleNamespace(to_payload=lambda: payload))
+        assert excinfo.value.code == "bad_request"
+        assert coordinator.log.pending_count() == 0
 
     def test_unknown_platform_is_a_bad_request(self, client):
         database = TrainingDatabase("no-such-platform")
