@@ -148,10 +148,11 @@ class TrainingDatabase:
     # ------------------------------------------------------------------
     def add(self, record: TrainingRecord) -> bool:
         """Insert one record; returns False for an exact duplicate."""
-        if record.fingerprint in self._fingerprints:
+        fingerprint = record.fingerprint
+        if fingerprint in self._fingerprints:
             return False
         self._records.append(record)
-        self._fingerprints.add(record.fingerprint)
+        self._fingerprints.add(fingerprint)
         return True
 
     def extend(self, records: Iterable[TrainingRecord]) -> int:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.cloud.platform import CloudPlatform, DEFAULT_PLATFORM
 from repro.core.database import TrainingDatabase, TrainingRecord
 from repro.ior.runner import IorRunner
-from repro.ior.spec import IorSpec
 from repro.ml.encoding import point_values
 from repro.reliability.faults import get_injector
 from repro.reliability.retry import BackoffPolicy, Retry, RetryBudgetExceeded
@@ -113,18 +112,21 @@ class TrainingPlan:
             list(overrides.get(name, parameter_by_name(name).values))
             for name in swept
         ]
+        # A realized point's keys come in one fixed order and each key's
+        # values in one type, so its value tuple tells points apart
+        # exactly as TrainingRecord.fingerprint's str() pairs do.
         seen: set[tuple] = set()
         points: list[dict[str, object]] = []
         for combo in itertools.product(*value_lists):
             values = dict(defaults)
-            values.update(dict(zip(swept, combo)))
+            values.update(zip(swept, combo))
             chars = characteristics_from_values(values)
             config = coerce_valid(config_from_values(values), chars)
             realized = point_values(config, chars)
-            fingerprint = tuple(sorted((k, str(v)) for k, v in realized.items()))
-            if fingerprint in seen:
+            key = tuple(realized.values())
+            if key in seen:
                 continue
-            seen.add(fingerprint)
+            seen.add(key)
             points.append(realized)
         return cls(ranked_names=tuple(names), top_m=top_m, points=tuple(points))
 
@@ -164,28 +166,43 @@ def _collection_retry() -> Retry:
     return Retry(BackoffPolicy(max_retries=4), sleep=_no_sleep)
 
 
-def _measure_point(values: dict[str, object], platform: CloudPlatform, reps: int):
-    """Worker for parallel collection; module-level for picklability.
+def _measure_point(
+    values: dict[str, object],
+    runner: IorRunner,
+    retry: Retry,
+    epoch: int,
+    source: str,
+) -> TrainingRecord | None:
+    """Measure one plan point into a training record.
 
-    Each call builds a fresh runner, so the baseline cache is not shared —
-    parallel collection trades some repeated baseline runs for wall-clock.
-    Fault injection and the per-point retry apply here too (the active
-    injector is inherited by forked workers), so chaos campaigns can run
-    parallel; exhausted points surface as None, exactly like the serial
-    path.
+    The one per-point path of serial and parallel collection (module-level
+    so parallel workers can unpickle it).  The point's characteristics and
+    configuration are derived once, with the validity clamping
+    :meth:`TrainingPlan.build` applies, and the record is built from them,
+    so a plan constructed directly records realized points too.  Fault
+    injection and the retry apply here; a point whose retries are
+    exhausted comes back as None.
     """
-    runner = IorRunner(platform=platform, reps=reps)
     chars = characteristics_from_values(values)
     config = coerce_valid(config_from_values(values), chars)
 
     def attempt():
         get_injector().perturb("training.measure")
-        return runner.measure(IorSpec.from_characteristics(chars), config)
+        return runner.measure_characteristics(chars, config)
 
     try:
-        return _collection_retry().call(attempt)
+        observation = retry.call(attempt)
     except RetryBudgetExceeded:
         return None
+    return TrainingRecord(
+        values=point_values(config, chars),
+        seconds=observation.seconds,
+        cost=observation.cost,
+        perf_improvement=observation.speedup,
+        cost_improvement=observation.cost_ratio,
+        epoch=epoch,
+        source=source,
+    )
 
 
 class TrainingCollector:
@@ -239,35 +256,41 @@ class TrainingCollector:
             "training.collect", points=plan.size, top_m=plan.top_m, source=source
         ):
             with telemetry.span("training.measure"):
+                measure = functools.partial(
+                    _measure_point, epoch=self._epoch, source=source
+                )
                 if resolve_jobs(self.jobs) > 1:
+                    # Each worker's chunk of points shares one fresh runner
+                    # (baseline cache) and the default retry; forked
+                    # workers inherit the active fault injector.
                     worker = functools.partial(
-                        _measure_point, platform=self.platform, reps=self.reps
+                        measure,
+                        runner=IorRunner(platform=self.platform, reps=self.reps),
+                        retry=_collection_retry(),
                     )
-                    observations = parallel_map(worker, plan.points, jobs=self.jobs)
+                    records = parallel_map(worker, plan.points, jobs=self.jobs)
                 else:
-                    observations = [
-                        self._measure(values) for values in plan.points
+                    records = [
+                        measure(values, self.runner, self.retry)
+                        for values in plan.points
                     ]
 
             # Points whose retries were exhausted by fault injection come
             # back as None: the campaign degrades to fewer records instead
             # of losing the whole batch.
-            skipped = sum(1 for observation in observations if observation is None)
-            observations = [obs for obs in observations if obs is not None]
+            skipped = sum(1 for record in records if record is None)
+            records = [record for record in records if record is not None]
 
             seconds = 0.0
             cost = 0.0
             new_records = 0
             with telemetry.span("training.ingest"):
-                for observation in observations:
-                    seconds += observation.seconds
-                    cost += observation.cost
-                    record = TrainingRecord.from_observation(
-                        observation, epoch=self._epoch, source=source
-                    )
+                for record in records:
+                    seconds += record.seconds
+                    cost += record.cost
                     if self.database.add(record):
                         new_records += 1
-        telemetry.counter("training.points_measured").inc(len(observations))
+        telemetry.counter("training.points_measured").inc(len(records))
         telemetry.counter(
             "training.points_skipped", "points dropped after exhausting retries"
         ).inc(skipped)
@@ -281,19 +304,6 @@ class TrainingCollector:
         return TrainingCampaign(
             plan=plan, new_records=new_records, run_seconds=seconds, run_cost=cost
         )
-
-    def _measure(self, values: dict[str, object]):
-        chars = characteristics_from_values(values)
-        config = coerce_valid(config_from_values(values), chars)
-
-        def attempt():
-            get_injector().perturb("training.measure")
-            return self.runner.measure(IorSpec.from_characteristics(chars), config)
-
-        try:
-            return self.retry.call(attempt)
-        except RetryBudgetExceeded:
-            return None
 
     def estimate_cost(self, plan_size: int, measured: TrainingCampaign) -> float:
         """Extrapolated collection cost for a plan too large to run.

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from repro.cloud.platform import CloudPlatform, DEFAULT_PLATFORM
 from repro.iosim.engine import IOSimulator, RunResult
+from repro.iosim.workload import Workload
 from repro.ior.spec import IorSpec
+from repro.space.characteristics import AppCharacteristics
 from repro.space.configuration import BASELINE_CONFIG, SystemConfig
 
 __all__ = ["IorObservation", "IorRunner"]
@@ -73,9 +75,31 @@ class IorRunner:
 
     def measure(self, spec: IorSpec, config: SystemConfig) -> IorObservation:
         """Run one IOR case under ``config`` (and, if new, the baseline)."""
-        workload = spec.to_workload()
+        return self._observe(spec, spec.to_characteristics(), config)
+
+    def measure_characteristics(
+        self, chars: AppCharacteristics, config: SystemConfig
+    ) -> IorObservation:
+        """:meth:`measure` the IOR case that mimics ``chars``.
+
+        That case (:meth:`IorSpec.from_characteristics`) maps ``chars``
+        one to one, so its workload runs ``chars`` as given instead of
+        converting them back from the spec: the same workload and the
+        same numbers.  Screening and training measure their points here.
+        """
+        return self._observe(IorSpec.from_characteristics(chars), chars, config)
+
+    def _observe(
+        self, spec: IorSpec, chars: AppCharacteristics, config: SystemConfig
+    ) -> IorObservation:
+        # The workload spec.to_workload() builds.  Its name, the command
+        # line, keys the run's noise streams and the baseline cache.
+        workload = Workload.pure_io(name=spec.command_line(), chars=chars)
         result = self._simulator.run_median(workload, config, reps=self.reps)
-        base = self._baseline_for(spec)
+        base = self._baseline_cache.get(workload.name)
+        if base is None:
+            base = self._simulator.run_median(workload, self.baseline, reps=self.reps)
+            self._baseline_cache[workload.name] = base
         return IorObservation(
             spec=spec,
             config=config,
@@ -84,13 +108,3 @@ class IorRunner:
             baseline_seconds=base.seconds,
             baseline_cost=base.cost,
         )
-
-    def _baseline_for(self, spec: IorSpec) -> RunResult:
-        key = spec.command_line()
-        cached = self._baseline_cache.get(key)
-        if cached is None:
-            cached = self._simulator.run_median(
-                spec.to_workload(), self.baseline, reps=self.reps
-            )
-            self._baseline_cache[key] = cached
-        return cached

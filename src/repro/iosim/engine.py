@@ -11,6 +11,7 @@ cost accounting are applied here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.cloud.cluster import ClusterSpec, Placement, provision
@@ -68,10 +69,13 @@ class RunResult:
     failed: bool = False
 
     def __post_init__(self) -> None:
-        if self.seconds <= 0:
-            raise ValueError(f"seconds must be positive, got {self.seconds}")
-        if self.cost < 0:
-            raise ValueError(f"cost must be >= 0, got {self.cost}")
+        # NaN fails every comparison, so the chained bounds refuse it too.
+        if not 0 < self.seconds < math.inf:
+            raise ValueError(
+                f"seconds must be positive and finite, got {self.seconds}"
+            )
+        if not 0 <= self.cost < math.inf:
+            raise ValueError(f"cost must be finite and >= 0, got {self.cost}")
 
 
 class IOSimulator:

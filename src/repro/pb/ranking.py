@@ -110,7 +110,7 @@ def screen_parameters(
         }
         chars = characteristics_from_values(values)
         config = coerce_valid(config_from_values(values), chars)
-        observation = runner.measure(IorSpec.from_characteristics(chars), config)
+        observation = runner.measure_characteristics(chars, config)
         value = (
             observation.speedup
             if response_fn is None

@@ -30,6 +30,7 @@ lookup per site.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
@@ -101,10 +102,14 @@ class FaultRule:
             raise ValueError(f"unknown fault kind {self.kind!r}; use {FaultKind}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.latency_s < 0:
-            raise ValueError(f"latency_s must be >= 0, got {self.latency_s}")
-        if self.factor <= 0:
-            raise ValueError(f"factor must be > 0, got {self.factor}")
+        # Plans arrive as JSON, which may carry NaN/Infinity literals; NaN
+        # fails every comparison, so the chained bounds refuse it too.
+        if not 0 <= self.latency_s < math.inf:
+            raise ValueError(
+                f"latency_s must be finite and >= 0, got {self.latency_s}"
+            )
+        if not 0 < self.factor < math.inf:
+            raise ValueError(f"factor must be finite and > 0, got {self.factor}")
         if self.max_hits is not None and self.max_hits < 1:
             raise ValueError(f"max_hits must be >= 1 or None, got {self.max_hits}")
 

@@ -9,7 +9,9 @@ with ``u_n`` uniform in [0, 1), and successive delays clamped to be
 monotone non-decreasing — two properties the reliability property tests
 pin down (jitter never exceeds its bound, delays never shrink).  Jitter
 draws come from a :class:`~repro.util.rng.RngStream`, so a retry
-schedule is reproducible given its seed.
+schedule is reproducible given its seed.  :class:`Retry` builds a
+call's schedule at its first failure: most calls succeed at once, and
+the schedule (stream and draws) is the same whenever it is built.
 
 Sleeping is indirected through a tiny ``sleep(seconds)`` callable so
 tests drive a :class:`VirtualSleeper` over a
@@ -126,7 +128,8 @@ class Retry:
         sleep: ``sleep(seconds)`` callable (:func:`time.sleep` by
             default; tests pass a :class:`VirtualSleeper`).
         seed: jitter stream seed (schedules are reproducible per seed;
-            each :meth:`call` derives an independent substream).
+            the ``n``-th :meth:`call` draws its schedule from the
+            ``("retry", n)`` substream, only once an attempt fails).
         metrics: optional :class:`~repro.telemetry.MetricsRegistry` for
             ``reliability.retries`` / ``reliability.retry_giveups``.
     """
@@ -157,14 +160,16 @@ class Retry:
         """Run ``fn`` until it succeeds or the retry budget is spent.
 
         ``on_failure(exc)`` is invoked per failed attempt (the circuit
-        breaker's ``record_failure`` hook in the service).
+        breaker's ``record_failure`` hook in the service).  A call that
+        succeeds first time draws no jitter.
 
         Raises:
             RetryBudgetExceeded: every attempt raised a retryable error;
                 the last one is chained as ``__cause__``.
         """
         self._calls += 1
-        delays = self.policy.schedule(RngStream(self.seed, "retry", self._calls))
+        call_index = self._calls
+        delays: list[float] | None = None
         attempts = 0
         while True:
             try:
@@ -173,6 +178,10 @@ class Retry:
                 attempts += 1
                 if on_failure is not None:
                     on_failure(exc)
+                if delays is None:
+                    delays = self.policy.schedule(
+                        RngStream(self.seed, "retry", call_index)
+                    )
                 if attempts > len(delays):
                     if self._giveups is not None:
                         self._giveups.inc()

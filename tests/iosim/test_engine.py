@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cloud.cluster import Placement
 from repro.cloud.storage import DeviceKind
-from repro.iosim.engine import IOSimulator, simulate_run
+from repro.iosim.engine import IOSimulator, RunResult, simulate_run
 from repro.iosim.workload import Workload
 from repro.space.configuration import BASELINE_CONFIG, FileSystemKind, SystemConfig
 from repro.space.grid import candidate_configs
@@ -151,6 +151,24 @@ class TestValidationAndBookkeeping:
         assert result.config_key == BASELINE_CONFIG.key
         assert result.workload == workload.name
         assert not result.failed
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seconds", 0.0),
+            ("seconds", float("nan")),
+            ("seconds", float("inf")),
+            ("seconds", float("-inf")),
+            ("cost", -1.0),
+            ("cost", float("nan")),
+            ("cost", float("inf")),
+            ("cost", float("-inf")),
+        ],
+    )
+    def test_result_rejects_non_finite_or_out_of_range(self, field, value):
+        fields = {"seconds": 10.0, "cost": 0.5, field: value}
+        with pytest.raises(ValueError, match=field):
+            RunResult(instances=1, config_key="c", workload="w", **fields)
 
 
 class TestAcrossAllCandidates:

@@ -98,6 +98,26 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.from_json(text)
 
+    @pytest.mark.parametrize(
+        "field, literal",
+        [
+            ("factor", "NaN"),
+            ("factor", "Infinity"),
+            ("factor", "-Infinity"),
+            ("latency_s", "NaN"),
+            ("latency_s", "Infinity"),
+            ("latency_s", "-Infinity"),
+        ],
+    )
+    def test_rejects_non_finite_literals(self, field, literal):
+        kind = "corrupt" if field == "factor" else "latency"
+        text = (
+            '{"seed": 1, "rules": [{"site": "iosim.run", "kind": "%s", '
+            '"%s": %s, "max_hits": 1}]}' % (kind, field, literal)
+        )
+        with pytest.raises(ValueError, match=field):
+            FaultPlan.from_json(text)
+
 
 class TestFaultInjector:
     def test_deterministic_across_instances(self, chaos_seed):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.reliability import (
@@ -140,6 +141,37 @@ class TestRetry:
         expected = sum(policy.raw_delay(n) for n in range(3))
         assert sleeper.slept_s == pytest.approx(expected)
         assert clock.now() == pytest.approx(expected)
+
+    def test_a_successful_call_seeds_no_generator(self, monkeypatch, sleeper):
+        seeded = []
+        default_rng = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            seeded.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        retry = Retry(BackoffPolicy(max_retries=3), sleep=sleeper)
+        assert [retry.call(lambda: n) for n in range(5)] == list(range(5))
+        assert seeded == []
+
+    def test_schedule_built_on_failure_is_the_calls_own(self):
+        """The n-th call, even after successful ones, backs off on the
+        ``("retry", n)`` schedule."""
+        policy = BackoffPolicy(max_retries=3)
+        slept = []
+        retry = Retry(policy, sleep=slept.append, seed=5)
+        failures = []
+
+        def fails_twice():
+            failures.append(1)
+            if len(failures) <= 2:
+                raise InjectedError("x", FaultRule(site="x"))
+            return "ok"
+
+        assert retry.call(lambda: "first") == "first"
+        assert retry.call(fails_twice) == "ok"
+        assert slept == policy.schedule(RngStream(5, "retry", 2))[:2]
 
     def test_metrics_accounting(self, sleeper):
         registry = MetricsRegistry()

@@ -40,7 +40,9 @@ class TestArtifact:
         assert report.outlier_fraction < 0.01
 
     def test_matches_fresh_regeneration(self, released, context):
-        """The artifact is deterministic: re-collecting reproduces it."""
+        """The artifact is deterministic: re-collecting reproduces every
+        record's measurements (to a tolerance, as the artifact may come
+        from another numpy build)."""
         from repro.core.training import TrainingCollector, TrainingPlan
 
         fresh_db = TrainingDatabase()
@@ -49,12 +51,15 @@ class TestArtifact:
         )
         assert len(fresh_db) == len(released)
         by_location = {
-            tuple(sorted((k, str(v)) for k, v in r.values.items())): r.seconds
+            tuple(sorted((k, str(v)) for k, v in r.values.items())): r
             for r in fresh_db
         }
-        for record in list(released)[:100]:
+        for record in released:
             key = tuple(sorted((k, str(v)) for k, v in record.values.items()))
-            assert by_location[key] == pytest.approx(record.seconds)
+            fresh = by_location[key]
+            for field in ("seconds", "cost", "perf_improvement", "cost_improvement"):
+                want = getattr(record, field)
+                assert getattr(fresh, field) == pytest.approx(want), field
 
     def test_answers_queries(self, released, screening_artifact, simple_chars):
         acic = Acic(
